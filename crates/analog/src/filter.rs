@@ -158,7 +158,7 @@ impl AffineSegment {
             return x * dt + 0.5 * self.b * dt * dt;
         }
         let xinf = -self.b / self.a;
-        xinf * dt + (x - xinf) * ((self.a * dt).exp() - 1.0) / self.a
+        xinf * dt + (x - xinf) * (self.a * dt).exp_m1() / self.a
     }
 
     /// `(state_after, state_integral)` from one shared exponential — the
@@ -169,10 +169,10 @@ impl AffineSegment {
             return (x + self.b * dt, x * dt + 0.5 * self.b * dt * dt);
         }
         let xinf = -self.b / self.a;
-        let growth = (self.a * dt).exp();
+        let growth_m1 = (self.a * dt).exp_m1();
         (
-            xinf + (x - xinf) * growth,
-            xinf * dt + (x - xinf) * (growth - 1.0) / self.a,
+            xinf + (x - xinf) * (growth_m1 + 1.0),
+            xinf * dt + (x - xinf) * growth_m1 / self.a,
         )
     }
 }
@@ -871,6 +871,33 @@ mod tests {
                 (exact - sum).abs() < 1e-9 * sum.abs().max(1e-9),
                 "{exact} vs {sum}"
             );
+        }
+    }
+
+    #[test]
+    fn near_zero_coefficient_integral_meets_the_integrator_limit() {
+        // Rounding can leave a source-free segment's `a` at ~1e-14 /s
+        // instead of 0 (the passive lag's high-Z coefficient for some
+        // r2); the integral must then still reach the `a = 0` limit
+        // rather than cancel `e^{a·dt} − 1` to zero.
+        let (x, dt) = (2.5, 1e-3);
+        let limit = AffineSegment {
+            a: 0.0,
+            b: 0.0,
+            c: 1.0,
+            d: 0.0,
+        };
+        let want = limit.state_integral(x, dt);
+        for a in [1e-14, -1e-14] {
+            let seg = AffineSegment { a, ..limit };
+            let (state, fused) = seg.state_and_integral(x, dt);
+            for got in [seg.state_integral(x, dt), fused] {
+                assert!(
+                    ((got - want) / want).abs() < 1e-12,
+                    "a = {a}: {got} vs {want}"
+                );
+            }
+            assert!(((state - x) / x).abs() < 1e-12, "a = {a}: state {state}");
         }
     }
 

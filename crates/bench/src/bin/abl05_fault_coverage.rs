@@ -19,6 +19,7 @@ use pllbist::estimate::{LimitComparator, ParameterEstimate};
 use pllbist::monitor::{MonitorSettings, TransferFunctionMonitor};
 use pllbist_analog::fault::Fault;
 use pllbist_bench::progress::{ProgressLine, ProgressSource};
+use pllbist_sim::behavioral::CpPll;
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::{CampaignPlan, Scheduler, SupervisorPolicy, SweepPointError};
 use pllbist_telemetry::{fields, ProgressBoard, Record, RunReport};
@@ -35,10 +36,13 @@ fn main() {
         ..MonitorSettings::fast()
     });
     // Each device runs a *serial* supervised plan — the campaign itself
-    // fans out across cores below, one device per worker.
+    // fans out across cores below, one device per worker. The clamped
+    // micro-stepped engine: a leaky control node droops in hold until
+    // the VCO rails, which the event engine's closed form excludes.
     let telemetry_cfg = report.telemetry_config();
     let device_plan = |cfg: &PllConfig| {
         CampaignPlan::new(cfg.clone())
+            .engine::<CpPll>()
             .supervised(policy.clone())
             .scheduler(Scheduler::Serial)
             .telemetry(telemetry_cfg.clone())

@@ -36,7 +36,9 @@ fn main() {
         Arc::new(move || progress_board.snapshot()) as ProgressSource,
     );
 
-    let plan = CampaignPlan::new(cfg.clone()).telemetry(report.telemetry_config());
+    let plan = CampaignPlan::new(cfg.clone())
+        .engine::<CpPll>()
+        .telemetry(report.telemetry_config());
     let t0 = Instant::now();
     let bench = measure_sweep::<CpPll>(
         &plan,

@@ -41,9 +41,11 @@ fn main() {
     );
 
     let telemetry_cfg = report.telemetry_config();
-    // Serial: the clean baseline must stay bitwise comparable to the
-    // serial device walks below (zero-jitter row reads exactly 0 dB).
+    // Serial on CpPll: the clean baseline must stay bitwise comparable
+    // to the serial CpPll device walks below (zero-jitter row reads
+    // exactly 0 dB).
     let plan = CampaignPlan::new(cfg.clone())
+        .engine::<CpPll>()
         .scheduler(Scheduler::Serial)
         .telemetry(telemetry_cfg.clone());
     let t0 = Instant::now();

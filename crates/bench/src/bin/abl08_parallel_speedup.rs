@@ -28,6 +28,7 @@ fn main() {
     let settings = BenchSettings::default();
     let plan = |threads| {
         CampaignPlan::new(cfg.clone())
+            .engine::<CpPll>()
             .scheduler(match threads {
                 1 => Scheduler::Serial,
                 threads => Scheduler::WorkStealing { threads },

@@ -24,6 +24,7 @@
 
 use pllbist::monitor::{MonitorSettings, TransferFunctionMonitor};
 use pllbist_bench::progress::{ProgressLine, ProgressSource};
+use pllbist_sim::behavioral::CpPll;
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::observe::{CampaignObserver, ObservatoryConfig};
 use pllbist_sim::supervisor::PointOutcome;
@@ -46,8 +47,9 @@ fn workload() -> TransferFunctionMonitor {
 
 /// A serial plan carrying the variant's telemetry config — the only
 /// knob that differs between variants, and it lives on the plan.
-fn plan(cfg: &PllConfig, telemetry: TelemetryConfig) -> CampaignPlan {
+fn plan(cfg: &PllConfig, telemetry: TelemetryConfig) -> CampaignPlan<CpPll> {
     CampaignPlan::new(cfg.clone())
+        .engine::<CpPll>()
         .scheduler(Scheduler::Serial)
         .telemetry(telemetry)
 }

@@ -44,6 +44,7 @@ fn main() {
     // core-count scaling.
     let plan = move |checkpoint| {
         CampaignPlan::new(cfg.clone())
+            .engine::<CpPll>()
             .scheduler(Scheduler::Serial)
             .checkpoint(checkpoint)
             .telemetry(telemetry.clone())

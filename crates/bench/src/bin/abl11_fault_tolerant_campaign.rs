@@ -120,6 +120,7 @@ fn main() {
     let telemetry_cfg = report.telemetry_config();
     let serial_plan = move |device_cfg: &PllConfig| {
         CampaignPlan::new(device_cfg.clone())
+            .engine::<CpPll>()
             .scheduler(Scheduler::Serial)
             .telemetry(telemetry_cfg.clone())
     };

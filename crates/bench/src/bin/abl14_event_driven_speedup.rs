@@ -84,6 +84,7 @@ fn main() {
     // strategy from core-count scaling. The engine is the only knob
     // that differs, and it lives on the plan.
     let behavioral_plan = CampaignPlan::new(cfg.clone())
+        .engine::<CpPll>()
         .scheduler(Scheduler::Serial)
         .telemetry(report.telemetry_config());
     let event_plan = behavioral_plan.clone().engine::<EventDrivenCpPll>();

@@ -1122,7 +1122,9 @@ mod tests {
         // monitor layer.
         let cfg = PllConfig::paper_table3();
         let monitor = TransferFunctionMonitor::new(tiny_settings());
-        let planned = monitor.measure(&serial_plan(&cfg)).expect_healthy();
+        let planned = monitor
+            .measure(&serial_plan(&cfg).engine::<CpPll>())
+            .expect_healthy();
         let mut pll = CpPll::new_locked(&cfg);
         let device = monitor.measure_device(&mut pll, &TelemetryConfig::disabled());
         assert_eq!(device.nominal, planned.nominal);
@@ -1287,13 +1289,17 @@ mod tests {
     fn supervised_measure_quarantines_a_nan_device_without_aborting() {
         // A VCO with a NaN curvature coefficient poisons the control
         // path immediately; the supervisor must quarantine the whole
-        // device (nominal + every tone) instead of crashing.
+        // device (nominal + every tone) instead of crashing. Curvature
+        // is outside the event engine's class, so this runs on CpPll.
         let mut cfg = PllConfig::paper_table3();
         cfg.vco_curvature = (f64::NAN, 0.0);
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let result = TransferFunctionMonitor::new(tiny_settings())
-            .measure(&serial_plan(&cfg).supervised(SupervisorPolicy::default()));
+        let result = TransferFunctionMonitor::new(tiny_settings()).measure(
+            &serial_plan(&cfg)
+                .engine::<CpPll>()
+                .supervised(SupervisorPolicy::default()),
+        );
         std::panic::set_hook(prev);
         assert!(result.nominal.is_err(), "NaN device has no nominal");
         assert_eq!(result.ok_count(), 0);
@@ -1332,7 +1338,9 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let monitor = TransferFunctionMonitor::new(tiny_settings());
-        let plan = serial_plan(&cfg).supervised(SupervisorPolicy::default());
+        let plan = serial_plan(&cfg)
+            .engine::<CpPll>()
+            .supervised(SupervisorPolicy::default());
         let a = monitor.measure(&plan);
         let b = monitor.measure(&plan);
         std::panic::set_hook(prev);
@@ -1340,6 +1348,32 @@ mod tests {
         for (x, y) in a.incidents.iter().zip(&b.incidents) {
             assert_eq!(x.attempt, y.attempt);
             assert_eq!(x.error.kind(), y.error.kind());
+        }
+    }
+
+    #[test]
+    fn default_engine_refuses_an_out_of_class_device_typed() {
+        // Curvature is outside the default event engine's exact class:
+        // the device quarantines as one non-retried `unsupported_config`
+        // incident, not as a worker panic, on both schedules.
+        let mut cfg = PllConfig::paper_table3();
+        cfg.vco_curvature = (20.0, 0.0);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let monitor = TransferFunctionMonitor::new(tiny_settings());
+        let results = [1, 2].map(|threads| {
+            monitor.measure(&plan_at(&cfg, threads).supervised(SupervisorPolicy::default()))
+        });
+        std::panic::set_hook(prev);
+        let refusal = SweepPointError::UnsupportedConfig {
+            backend: "event_driven",
+            feature: "vco_curvature",
+        };
+        for result in results {
+            assert_eq!(result.nominal, Err(refusal.clone()));
+            assert!(result.points.iter().all(|p| p == &Err(refusal.clone())));
+            assert_eq!(result.incidents.len(), 1, "{:?}", result.incidents);
+            assert_eq!(result.incidents[0].action, IncidentAction::Quarantined);
         }
     }
 }

@@ -132,8 +132,14 @@ const KNOWN_QUANTITIES: &[&str] = &[
     "vco_phase_cycles",
     "control_voltage_out_of_range",
     "control_voltage_rail_pinned",
+    "vco_phase_cycles_decreased",
     "bench_fit_gain",
 ];
+
+/// The backend and feature tags an unsupported-configuration refusal
+/// carries.
+const KNOWN_BACKENDS: &[&str] = &["event_driven"];
+const KNOWN_FEATURES: &[&str] = &["ripple_capacitor", "vco_curvature", "vco_range"];
 
 /// Encodes the payload of a quarantined point (flat keys; every `f64`
 /// as bits-hex).
@@ -172,6 +178,10 @@ pub fn error_fields(error: &SweepPointError) -> Fields {
         },
         SweepPointError::DegenerateFit { f_mod_hz } => {
             push("f_mod_bits", Value::Str(bits_hex(*f_mod_hz)));
+        }
+        SweepPointError::UnsupportedConfig { backend, feature } => {
+            push("backend", Value::Str((*backend).to_string()));
+            push("feature", Value::Str((*feature).to_string()));
         }
         // Free-text payload last, so tag keys stay first-occurrence-safe.
         SweepPointError::WorkerPanic { message } => {
@@ -220,6 +230,10 @@ pub fn decode_error(line: &str) -> Option<SweepPointError> {
         }),
         "degenerate_fit" => Some(SweepPointError::DegenerateFit {
             f_mod_hz: f64_from_bits_hex(&json_str_field(line, "f_mod_bits")?)?,
+        }),
+        "unsupported_config" => Some(SweepPointError::UnsupportedConfig {
+            backend: as_static(json_str_field(line, "backend")?, KNOWN_BACKENDS),
+            feature: as_static(json_str_field(line, "feature")?, KNOWN_FEATURES),
         }),
         _ => None,
     }
@@ -701,6 +715,10 @@ mod tests {
                 message: "tricky \"quoted\" payload with \\ and \n newline".to_string(),
             },
             SweepPointError::DegenerateFit { f_mod_hz: 8.0 },
+            SweepPointError::UnsupportedConfig {
+                backend: "event_driven",
+                feature: "ripple_capacitor",
+            },
         ];
         for (i, error) in errors.iter().enumerate() {
             let line = encode_point_line(&F64Codec, i, &Err(error.clone()));

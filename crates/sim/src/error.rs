@@ -64,6 +64,18 @@ pub enum SweepPointError {
         /// Modulation frequency of the failed point, in Hz.
         f_mod_hz: f64,
     },
+    /// The configuration lies outside the engine backend's supported
+    /// class (constructor-time refusal, before any simulation ran) —
+    /// e.g. a ripple capacitor on the closed-form event engine. A
+    /// deterministic fact about the plan, never retried: run the point
+    /// on a backend that models the feature.
+    UnsupportedConfig {
+        /// The refusing backend ([`crate::engine::PllEngine::backend_name`]).
+        backend: &'static str,
+        /// The out-of-class configuration feature (e.g.
+        /// `"ripple_capacitor"`, `"vco_curvature"`, `"vco_range"`).
+        feature: &'static str,
+    },
 }
 
 /// Every stable [`SweepPointError::kind`] tag, in declaration order.
@@ -80,6 +92,7 @@ pub const ERROR_KINDS: &[&str] = &[
     "fault_wiring",
     "worker_panic",
     "degenerate_fit",
+    "unsupported_config",
 ];
 
 /// Panic payload modelling a **SIGKILL-equivalent process death** for
@@ -125,14 +138,16 @@ impl SweepPointError {
             SweepPointError::FaultWiring(_) => "fault_wiring",
             SweepPointError::WorkerPanic { .. } => "worker_panic",
             SweepPointError::DegenerateFit { .. } => "degenerate_fit",
+            SweepPointError::UnsupportedConfig { .. } => "unsupported_config",
         }
     }
 
     /// Whether the supervisor's retry policy may re-attempt the point.
     ///
     /// Transient/numerical failures retry (a halved step or a longer
-    /// settle can rescue them); wiring errors are deterministic facts
-    /// about the topology and panics are treated as non-retryable bugs.
+    /// settle can rescue them); wiring errors and unsupported
+    /// configurations are deterministic facts about the plan and panics
+    /// are treated as non-retryable bugs.
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
@@ -191,6 +206,12 @@ impl std::fmt::Display for SweepPointError {
             }
             SweepPointError::DegenerateFit { f_mod_hz } => {
                 write!(f, "degenerate fit at f_mod = {f_mod_hz} Hz")
+            }
+            SweepPointError::UnsupportedConfig { backend, feature } => {
+                write!(
+                    f,
+                    "unsupported configuration for the {backend} engine: {feature}"
+                )
             }
         }
     }
@@ -299,6 +320,10 @@ mod tests {
                 message: "boom".into(),
             },
             SweepPointError::DegenerateFit { f_mod_hz: 8.0 },
+            SweepPointError::UnsupportedConfig {
+                backend: "event_driven",
+                feature: "ripple_capacitor",
+            },
         ];
         let kinds: Vec<_> = errs.iter().map(|e| e.kind()).collect();
         assert_eq!(
@@ -308,7 +333,8 @@ mod tests {
                 "numerical_divergence",
                 "step_budget_exhausted",
                 "worker_panic",
-                "degenerate_fit"
+                "degenerate_fit",
+                "unsupported_config"
             ]
         );
         for e in &errs {
@@ -320,7 +346,7 @@ mod tests {
             );
         }
         assert!(ERROR_KINDS.contains(&"fault_wiring"));
-        assert_eq!(ERROR_KINDS.len(), 6);
+        assert_eq!(ERROR_KINDS.len(), 7);
     }
 
     #[test]
@@ -355,6 +381,10 @@ mod tests {
                 message: "boom".into(),
             },
             SweepPointError::DegenerateFit { f_mod_hz: 8.0 },
+            SweepPointError::UnsupportedConfig {
+                backend: "event_driven",
+                feature: "vco_curvature",
+            },
         ];
         let tags: Vec<&'static str> = representatives
             .iter()
@@ -365,6 +395,7 @@ mod tests {
                 SweepPointError::FaultWiring(_) => "fault_wiring",
                 SweepPointError::WorkerPanic { .. } => "worker_panic",
                 SweepPointError::DegenerateFit { .. } => "degenerate_fit",
+                SweepPointError::UnsupportedConfig { .. } => "unsupported_config",
             })
             .collect();
         // Every variant is represented exactly once, and the registry
@@ -389,6 +420,11 @@ mod tests {
         assert!(SweepPointError::DegenerateFit { f_mod_hz: 1.0 }.is_retryable());
         assert!(!SweepPointError::WorkerPanic {
             message: "x".into()
+        }
+        .is_retryable());
+        assert!(!SweepPointError::UnsupportedConfig {
+            backend: "event_driven",
+            feature: "vco_range",
         }
         .is_retryable());
         let wiring = crate::config::PllConfig::paper_table3()

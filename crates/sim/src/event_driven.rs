@@ -27,16 +27,20 @@
 //!
 //! Exact scalar propagation requires a **first-order filter and a linear
 //! VCO**: every stock config and every `standard_campaign` fault
-//! qualifies. [`EventDrivenCpPll::new_locked`] panics (with a pointer to
-//! [`crate::behavioral::CpPll`]) for a ripple capacitor (second filter
-//! state), VCO tuning-curve curvature, or a clamped VCO range. It also
-//! refuses to run where the *linear* VCO frequency would cross zero —
-//! railed operation far outside lock belongs to the clamped behavioural
-//! model.
+//! qualifies, which is why this is the default engine of
+//! [`crate::plan::CampaignPlan`]. [`EventDrivenCpPll::try_new_locked`]
+//! refuses a ripple capacitor (second filter state), VCO tuning-curve
+//! curvature, or a clamped VCO range with a typed, non-retryable
+//! [`SweepPointError::UnsupportedConfig`]; run those on
+//! [`crate::behavioral::CpPll`] (`plan.engine::<CpPll>()`). The engine
+//! also refuses to run where the *linear* VCO frequency would cross
+//! zero — railed operation far outside lock belongs to the clamped
+//! behavioural model.
 
 use crate::behavioral::{LoopEvent, Sample, SolverStats};
 use crate::config::{DriveConfig, PllConfig};
 use crate::engine::{PllEngine, WorkStats};
+use crate::error::SweepPointError;
 use crate::noise::{NoiseConfig, NoiseSource};
 use crate::stimulus::FmStimulus;
 use pllbist_analog::filter::AffineSegment;
@@ -163,43 +167,57 @@ impl EventDrivenCpPll {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is outside the engine's exact class:
-    /// a ripple capacitor (second filter state), VCO curvature, or a
-    /// clamped VCO range.
+    /// Panics if the configuration is outside the engine's exact class,
+    /// with the typed [`SweepPointError::UnsupportedConfig`] of
+    /// [`try_new_locked`](Self::try_new_locked) as the payload — so a
+    /// campaign's point containment quarantines it as
+    /// `unsupported_config` rather than as a worker panic.
     pub fn new_locked(config: &PllConfig) -> Self {
-        assert!(
-            config.vco_curvature == (0.0, 0.0),
-            "EventDrivenCpPll requires a linear VCO tuning curve \
-             (vco_curvature = (0, 0)); use CpPll for curved tuning"
-        );
-        assert!(
-            config.vco_range_hz.is_none(),
-            "EventDrivenCpPll requires an unclamped VCO range; \
-             use CpPll for range-limited operation"
-        );
+        match Self::try_new_locked(config) {
+            Ok(pll) => pll,
+            Err(error) => std::panic::panic_any(error),
+        }
+    }
+
+    /// [`new_locked`](Self::new_locked) as a `Result`.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepPointError::UnsupportedConfig`] (backend `event_driven`)
+    /// for a configuration outside the engine's exact class: a ripple
+    /// capacitor (feature `ripple_capacitor`), VCO curvature
+    /// (`vco_curvature`) or a clamped VCO range (`vco_range`). Run those
+    /// on [`crate::behavioral::CpPll`].
+    pub fn try_new_locked(config: &PllConfig) -> Result<Self, SweepPointError> {
+        let unsupported = |feature| SweepPointError::UnsupportedConfig {
+            backend: <Self as PllEngine>::backend_name(),
+            feature,
+        };
+        if config.vco_curvature != (0.0, 0.0) {
+            return Err(unsupported("vco_curvature"));
+        }
+        if config.vco_range_hz.is_some() {
+            return Err(unsupported("vco_range"));
+        }
         let filter = config.build_filter();
         let vco = config.build_vco();
         let gain = vco.gain_hz_per_volt();
-        let kernel_for = |state: PfdOutput| -> Kernel {
-            let seg = match filter.affine_segment(drive_of(config, state)) {
-                Some(seg) => seg,
-                None => panic!(
-                    "EventDrivenCpPll requires a first-order loop filter \
-                     (no ripple capacitor); use CpPll for second-order filters"
-                ),
-            };
-            Kernel {
+        let kernel_for = |state: PfdOutput| -> Result<Kernel, SweepPointError> {
+            let seg = filter
+                .affine_segment(drive_of(config, state))
+                .ok_or_else(|| unsupported("ripple_capacitor"))?;
+            Ok(Kernel {
                 seg,
                 // Linear, unclamped: f(v) = f_center + gain·(v − v_center),
                 // composed with v = c·x + d.
                 f0: vco.f_center_hz() + gain * (seg.d - vco.v_center()),
                 gdx: gain * seg.c,
-            }
+            })
         };
         let kernels = [
-            kernel_for(PfdOutput::Up),
-            kernel_for(PfdOutput::Down),
-            kernel_for(PfdOutput::Off),
+            kernel_for(PfdOutput::Up)?,
+            kernel_for(PfdOutput::Down)?,
+            kernel_for(PfdOutput::Off)?,
         ];
         // Preset at lock through the canonical vector path so the initial
         // state matches CpPll::new_locked exactly.
@@ -209,7 +227,7 @@ impl EventDrivenCpPll {
         let x = state[0];
         let stimulus = FmStimulus::constant(config.f_ref_hz, 0.0);
         let next_ref_edge = stimulus.next_edge_after(0.0);
-        Self {
+        Ok(Self {
             config: config.clone(),
             pfd: BehavioralPfd::with_dead_zone(config.pfd_dead_zone),
             vco,
@@ -230,7 +248,7 @@ impl EventDrivenCpPll {
             sampler: None,
             noise: None,
             stats: SolverStats::default(),
-        }
+        })
     }
 
     /// The configuration this loop was built from.
@@ -1198,29 +1216,87 @@ mod tests {
         pll.advance_to(0.05);
     }
 
+    /// The typed refusal `try_new_locked` returns for `cfg`, which
+    /// `new_locked` must raise as its panic payload too.
+    fn refusal(cfg: &PllConfig) -> SweepPointError {
+        let Err(err) = EventDrivenCpPll::try_new_locked(cfg) else {
+            panic!("config should be out of class");
+        };
+        let payload = std::panic::catch_unwind(|| EventDrivenCpPll::new_locked(cfg))
+            .err()
+            .expect("new_locked refuses too");
+        assert_eq!(SweepPointError::from_panic(payload), err);
+        assert_eq!(err.kind(), "unsupported_config");
+        assert!(!err.is_retryable());
+        err
+    }
+
     #[test]
-    #[should_panic(expected = "first-order loop filter")]
     fn ripple_capacitor_is_out_of_class() {
         let mut cfg = PllConfig::integer_n_charge_pump();
         if let crate::config::FilterConfig::SeriesRc { ref mut c2, .. } = cfg.filter {
             *c2 = Some(1e-9);
         }
-        let _ = EventDrivenCpPll::new_locked(&cfg);
+        assert_eq!(
+            refusal(&cfg),
+            SweepPointError::UnsupportedConfig {
+                backend: "event_driven",
+                feature: "ripple_capacitor",
+            }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "linear VCO tuning curve")]
     fn vco_curvature_is_out_of_class() {
         let mut cfg = PllConfig::paper_table3();
         cfg.vco_curvature = (20.0, 0.0);
-        let _ = EventDrivenCpPll::new_locked(&cfg);
+        assert_eq!(
+            refusal(&cfg),
+            SweepPointError::UnsupportedConfig {
+                backend: "event_driven",
+                feature: "vco_curvature",
+            }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "unclamped VCO range")]
     fn vco_range_is_out_of_class() {
         let mut cfg = PllConfig::paper_table3();
         cfg.vco_range_hz = Some((4_000.0, 6_000.0));
-        let _ = EventDrivenCpPll::new_locked(&cfg);
+        assert_eq!(
+            refusal(&cfg),
+            SweepPointError::UnsupportedConfig {
+                backend: "event_driven",
+                feature: "vco_range",
+            }
+        );
+    }
+
+    #[test]
+    fn phase_advances_at_f_vco_for_a_near_zero_hold_coefficient() {
+        // A seed-1 benchmark device: this r2 rounds the passive lag's
+        // high-Z coefficient to ~1e-14 /s instead of 0, where
+        // `exp(a·dt) − 1` used to cancel the phase integral's filter
+        // term and run the VCO phase backwards from t = 0.
+        let mut cfg = PllConfig::paper_table3();
+        let crate::config::FilterConfig::PassiveLag { ref mut r2, .. } = cfg.filter else {
+            panic!("Table 3 is a passive lag");
+        };
+        *r2 = 36_904.516_190_372_77;
+        let mut ev = EventDrivenCpPll::new_locked(&cfg);
+        let mut beh = CpPll::new_locked(&cfg);
+        ev.advance_to(0.01);
+        beh.advance_to(0.01);
+        let want = cfg.f_vco_hz() * 0.01;
+        let got = ev.vco_phase_cycles();
+        assert!(
+            ((got - want) / want).abs() < 1e-9,
+            "event phase {got} vs f_vco·t = {want}"
+        );
+        let reference = beh.vco_phase_cycles();
+        assert!(
+            ((got - reference) / reference).abs() < 1e-9,
+            "event phase {got} vs CpPll {reference}"
+        );
     }
 }

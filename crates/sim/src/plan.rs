@@ -10,18 +10,24 @@
 //! outcomes — so they are expressed here as **options on one plan**:
 //!
 //! ```no_run
+//! use pllbist_sim::behavioral::CpPll;
 //! use pllbist_sim::config::PllConfig;
-//! use pllbist_sim::event_driven::EventDrivenCpPll;
 //! use pllbist_sim::plan::{CampaignPlan, Scheduler};
 //! use pllbist_sim::supervisor::SupervisorPolicy;
 //!
 //! let plan = CampaignPlan::new(PllConfig::paper_table3())
-//!     .engine::<EventDrivenCpPll>()
+//!     .engine::<CpPll>()
 //!     .checkpoint(true)
 //!     .supervised(SupervisorPolicy::default())
 //!     .scheduler(Scheduler::WorkStealing { threads: 8 })
 //!     .resume_from("campaign.jsonl");
 //! ```
+//!
+//! The default engine is the exact per-event
+//! [`EventDrivenCpPll`]; `.engine::<CpPll>()` opts into the
+//! micro-stepped engine for what the closed form excludes (a ripple
+//! capacitor, VCO curvature, a clamped VCO range, faults that rail the
+//! loop).
 //!
 //! Every combination lowers onto the **single** runner
 //! ([`crate::scenario::run_plan`] /
@@ -41,13 +47,13 @@
 //! deliberately **excluded from the digest**: they never change results,
 //! so a campaign killed on 16 threads may resume on 1.
 
-use crate::behavioral::CpPll;
 use crate::campaign::{
     bits_hex, config_digest, f64_from_bits_hex, json_bool_field, json_str_field, json_u64_field,
 };
 use crate::config::PllConfig;
 use crate::engine::PllEngine;
 use crate::error::CampaignError;
+use crate::event_driven::EventDrivenCpPll;
 use crate::observe::CampaignObserver;
 use crate::scenario::Scenario;
 use crate::supervisor::SupervisorPolicy;
@@ -99,7 +105,7 @@ impl Scheduler {
 /// bench layer ([`crate::bench_measure::run_sweep`]) or the monitor
 /// (`TransferFunctionMonitor::measure`). See the [module docs](self)
 /// for the digest/serialisation contract.
-pub struct CampaignPlan<E: PllEngine = CpPll> {
+pub struct CampaignPlan<E: PllEngine = EventDrivenCpPll> {
     config: PllConfig,
     lock_settle_secs: Option<f64>,
     checkpoint: bool,
@@ -145,9 +151,11 @@ impl<E: PllEngine> std::fmt::Debug for CampaignPlan<E> {
     }
 }
 
-impl CampaignPlan<CpPll> {
-    /// A plan with the defaults every legacy entry point assumed: the
-    /// behavioural [`CpPll`] backend, auto lock settle
+impl CampaignPlan<EventDrivenCpPll> {
+    /// A plan with the defaults: the exact per-event
+    /// [`EventDrivenCpPll`] backend (re-type with
+    /// [`engine`](Self::engine), e.g. `.engine::<CpPll>()` for a
+    /// configuration outside its class), auto lock settle
     /// ([`crate::scenario::settle_time`]), checkpoint reuse on, no
     /// supervision, auto-threaded work stealing, no resume file, no
     /// observer, telemetry off.
@@ -511,8 +519,8 @@ impl<E: PllEngine> CampaignPlan<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::behavioral::CpPll;
     use crate::engine::ClosedFormPll;
-    use crate::event_driven::EventDrivenCpPll;
 
     #[test]
     fn builder_lowers_options_onto_fields() {
@@ -521,7 +529,7 @@ mod tests {
             ..SupervisorPolicy::default()
         };
         let plan = CampaignPlan::new(PllConfig::paper_table3())
-            .engine::<EventDrivenCpPll>()
+            .engine::<CpPll>()
             .checkpoint(false)
             .sidecar(true)
             .supervised(policy.clone())
@@ -529,7 +537,7 @@ mod tests {
             .resume_from("campaign.jsonl")
             .lock_settle(0.25)
             .telemetry(TelemetryConfig::enabled());
-        assert_eq!(plan.backend(), "event_driven");
+        assert_eq!(plan.backend(), "cp_pll");
         assert!(!plan.checkpoint_enabled());
         assert!(plan.sidecar_enabled());
         assert_eq!(plan.supervision(), Some(&policy));
@@ -543,7 +551,7 @@ mod tests {
         assert_eq!(plan.scenario().lock_settle_secs(), 0.25);
         // Defaults.
         let plain = CampaignPlan::new(PllConfig::paper_table3());
-        assert_eq!(plain.backend(), "cp_pll");
+        assert_eq!(plain.backend(), "event_driven");
         assert!(plain.checkpoint_enabled());
         assert!(!plain.sidecar_enabled());
         assert!(plain.supervision().is_none());

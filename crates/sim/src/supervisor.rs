@@ -7,9 +7,10 @@
 //!
 //! * [`Supervised`] wraps any [`PllEngine`] and checks guardrails after
 //!   every `advance_to` call — NaN/Inf on the control voltage, VCO
-//!   frequency and phase; control-voltage range/rail-pinning; a work
-//!   budget. All checks are **read-only**, so a supervised healthy
-//!   run is bitwise identical to an unsupervised one.
+//!   frequency and phase; VCO phase running backwards; control-voltage
+//!   range/rail-pinning; a work budget. All checks are **read-only**,
+//!   so a supervised healthy run is bitwise identical to an unsupervised
+//!   one.
 //! * [`supervised_point`] executes one sweep point under
 //!   [`std::panic::catch_unwind`], retrying per [`SupervisorPolicy`]
 //!   (fresh engine, halved work granularity, extended settle) and
@@ -232,6 +233,8 @@ pub struct Supervised<E: PllEngine> {
     rail_streak_limit: u32,
     rail_streak: u32,
     baseline_steps: u64,
+    /// VCO phase after the last checked advance (or restore).
+    last_phase: f64,
 }
 
 impl<E: PllEngine> Supervised<E> {
@@ -240,6 +243,7 @@ impl<E: PllEngine> Supervised<E> {
     pub fn new(inner: E, policy: &SupervisorPolicy) -> Self {
         let rails = policy.rails_for(inner.config());
         let baseline_steps = inner.work_stats().steps;
+        let last_phase = inner.vco_phase_cycles();
         Self {
             inner,
             step_budget: policy.step_budget,
@@ -249,6 +253,7 @@ impl<E: PllEngine> Supervised<E> {
             rail_streak_limit: policy.rail_streak_limit,
             rail_streak: 0,
             baseline_steps,
+            last_phase,
         }
     }
 
@@ -263,9 +268,11 @@ impl<E: PllEngine> Supervised<E> {
         supervised
     }
 
-    /// Wraps `inner` with every guardrail disabled (finiteness checks
-    /// still run — they are free and never false-positive).
+    /// Wraps `inner` with every guardrail disabled (finiteness and
+    /// phase-monotonicity checks still run — they are free and never
+    /// false-positive).
     pub fn unsupervised(inner: E) -> Self {
+        let last_phase = inner.vco_phase_cycles();
         Self {
             inner,
             step_budget: 0,
@@ -275,6 +282,7 @@ impl<E: PllEngine> Supervised<E> {
             rail_streak_limit: u32::MAX,
             rail_streak: 0,
             baseline_steps: 0,
+            last_phase,
         }
     }
 
@@ -309,6 +317,18 @@ impl<E: PllEngine> Supervised<E> {
                 std::panic::panic_any(SweepPointError::NumericalDivergence { t, quantity, value });
             }
         }
+        // A VCO's phase never runs backwards; an engine whose does has
+        // lost its phase integral, and everything counted from it is
+        // wrong even though every value is finite.
+        let phase = self.inner.vco_phase_cycles();
+        if phase < self.last_phase {
+            std::panic::panic_any(SweepPointError::NumericalDivergence {
+                t,
+                quantity: "vco_phase_cycles_decreased",
+                value: phase,
+            });
+        }
+        self.last_phase = phase;
         if let Some((lo, hi)) = self.rails {
             let span = hi - lo;
             let overshoot = self.rail_overshoot_fraction * span;
@@ -413,6 +433,7 @@ impl<E: PllEngine> PllEngine for Supervised<E> {
         self.inner.restore(snapshot);
         self.rail_streak = 0;
         self.baseline_steps = self.inner.work_stats().steps;
+        self.last_phase = self.inner.vco_phase_cycles();
     }
 
     fn set_step_scale(&mut self, scale: f64) {
@@ -606,6 +627,44 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn backwards_vco_phase_trips_as_numerical_divergence() {
+        let cfg = PllConfig::paper_table3();
+        for mut sup in [
+            Supervised::new(CpPll::new_locked(&cfg), &SupervisorPolicy::default()),
+            Supervised::unsupervised(CpPll::new_locked(&cfg)),
+        ] {
+            sup.arm_point();
+            // As if the last advance had ended a million cycles ahead of
+            // where this one lands.
+            sup.last_phase = 1e6;
+            let err = catch_unwind(AssertUnwindSafe(|| sup.advance_to(0.01)))
+                .map_err(SweepPointError::from_panic)
+                .unwrap_err();
+            match err {
+                SweepPointError::NumericalDivergence { quantity, .. } => {
+                    assert_eq!(quantity, "vco_phase_cycles_decreased");
+                }
+                other => panic!("unexpected error {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn restoring_an_earlier_snapshot_is_not_a_backwards_phase() {
+        // Restores legitimately rewind the loop (every checkpointed tone
+        // starts from the settled snapshot); only an advance that loses
+        // phase is a divergence.
+        let cfg = PllConfig::paper_table3();
+        let mut sup = Supervised::new(CpPll::new_locked(&cfg), &SupervisorPolicy::default());
+        sup.advance_to(0.05);
+        let snap = sup.checkpoint();
+        sup.advance_to(0.1);
+        sup.restore(&snap);
+        sup.advance_to(0.07);
+        assert!(sup.vco_phase_cycles() > 0.0);
     }
 
     #[test]

@@ -15,6 +15,13 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# The repository benchmark is its own Cargo workspace that builds
+# against the library crates by path; its tests include a smoke run of
+# every workload with the output checks on, so a library change that
+# breaks the benchmark's build or its checks fails here.
+echo "==> pllbench tests (offline, smoke run of every workload)"
+cargo test -q --release --offline --manifest-path pllbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -5,11 +5,12 @@
 use pllbist::monitor::{MonitorSettings, TransferFunctionMonitor};
 use pllbist_sim::behavioral::CpPll;
 use pllbist_sim::bench_measure::{measure_point, BenchSettings};
-use pllbist_sim::config::PllConfig;
+use pllbist_sim::config::{DriveConfig, FilterConfig, PllConfig};
 use pllbist_sim::cosim::MixedSignalPll;
 use pllbist_sim::engine::ClosedFormPll;
-use pllbist_sim::event_driven::EventDrivenCpPll;
 use pllbist_sim::{CampaignPlan, Scheduler};
+use pllbist_testkit::prop::Gen;
+use pllbist_testkit::{prop_assert, prop_assume, prop_check};
 use std::f64::consts::TAU;
 
 #[test]
@@ -45,7 +46,9 @@ fn bist_monitor_agrees_across_backends() {
         ..MonitorSettings::fast()
     };
     let monitor = TransferFunctionMonitor::new(settings);
-    let serial = CampaignPlan::new(cfg.clone()).scheduler(Scheduler::Serial);
+    let serial = CampaignPlan::new(cfg.clone())
+        .engine::<CpPll>()
+        .scheduler(Scheduler::Serial);
     let beh = monitor.measure(&serial).expect_healthy();
     let gate = monitor
         .measure(&serial.clone().engine::<MixedSignalPll>())
@@ -96,10 +99,10 @@ fn bist_monitor_agrees_on_the_event_driven_backend() {
     };
     let monitor = TransferFunctionMonitor::new(settings);
     let serial = CampaignPlan::new(cfg.clone()).scheduler(Scheduler::Serial);
-    let ev = monitor
-        .measure(&serial.clone().engine::<EventDrivenCpPll>())
+    let ev = monitor.measure(&serial).expect_healthy();
+    let beh = monitor
+        .measure(&serial.clone().engine::<CpPll>())
         .expect_healthy();
-    let beh = monitor.measure(&serial).expect_healthy();
     let closed = monitor
         .measure(&serial.clone().engine::<ClosedFormPll>())
         .expect_healthy();
@@ -136,6 +139,94 @@ fn bist_monitor_agrees_on_the_event_driven_backend() {
             pb.phase.to_degrees()
         );
     }
+}
+
+/// Draws a loop from the benchmark's device family: a Table 3 passive
+/// lag with r1 and c within ±15 %, r2 within ±20 % and K0 within ±10 %,
+/// or a charge-pump series-RC loop (no ripple capacitor) with c1 and Icp
+/// within ±15 % and r within ±10 % — every factor log-uniform.
+fn family_loop(g: &mut Gen) -> PllConfig {
+    let passive_lag = g.bool();
+    let mut factor = |spread: f64| spread.powf(g.f64_range(-1.0, 1.0));
+    if passive_lag {
+        let mut cfg = PllConfig::paper_table3();
+        cfg.filter = FilterConfig::PassiveLag {
+            r1: 1.5730e6 * factor(1.15),
+            r2: 35.288e3 * factor(1.2),
+            c: 470e-9 * factor(1.15),
+            r_leak: None,
+        };
+        cfg.vco_k0 = 24_000.0 * factor(1.1);
+        cfg
+    } else {
+        let mut cfg = PllConfig::integer_n_charge_pump();
+        cfg.drive = DriveConfig::Charge {
+            i_pump: 100e-6 * factor(1.15),
+            mismatch: 1.0,
+        };
+        cfg.filter = FilterConfig::SeriesRc {
+            r: 22e3 * factor(1.1),
+            c1: 33e-9 * factor(1.15),
+            c2: None,
+            r_leak: None,
+        };
+        cfg
+    }
+}
+
+#[test]
+fn default_engine_agrees_with_cp_pll_across_the_device_family() {
+    // The event engine is the default plan engine, so it must read every
+    // loop of its class the way the micro-stepped engine does — not just
+    // the stock r2 that happens to round the passive lag's high-Z
+    // coefficient to exactly zero.
+    prop_check!(cases: 48, |g| {
+        let cfg = family_loop(g);
+        let params = cfg.analysis().dominant_params();
+        // The benchmark redraws loops without a resonance peak to fit.
+        prop_assume!((0.3..=0.6).contains(&params.damping));
+        let fn_hz = params.natural_frequency_hz();
+        let monitor = TransferFunctionMonitor::new(MonitorSettings {
+            deviation_hz: 0.01 * cfg.f_ref_hz,
+            mod_frequencies_hz: vec![fn_hz / 8.0, fn_hz, 3.0 * fn_hz],
+            loop_settle_secs: 0.0,
+            test_clock_hz: 20e6,
+            ..MonitorSettings::fast()
+        });
+        let serial = CampaignPlan::new(cfg.clone()).scheduler(Scheduler::Serial);
+        let ev = monitor.measure(&serial);
+        let beh = monitor.measure(&serial.clone().engine::<CpPll>());
+        prop_assert!(
+            ev.nominal.is_ok() && ev.quarantined_count() == 0,
+            "event engine failed on {cfg:?}: {:?} / {:?}",
+            ev.nominal,
+            ev.points
+        );
+        let (ev, beh) = (ev.expect_healthy(), beh.expect_healthy());
+        prop_assert!(
+            (ev.nominal.frequency_hz - beh.nominal.frequency_hz).abs() < 5.0,
+            "nominal: event {} vs behavioral {} on {cfg:?}",
+            ev.nominal.frequency_hz,
+            beh.nominal.frequency_hz
+        );
+        for (pe, pb) in ev.to_bode().points().iter().zip(beh.to_bode().points()) {
+            prop_assert!(
+                (pe.magnitude - pb.magnitude).abs() / pe.magnitude.max(1e-9) < 0.05,
+                "ω = {}: |H| event {} vs behavioral {} on {cfg:?}",
+                pe.omega,
+                pe.magnitude,
+                pb.magnitude
+            );
+            prop_assert!(
+                (pe.phase - pb.phase).abs() < 5f64.to_radians(),
+                "ω = {}: phase event {}° vs behavioral {}° on {cfg:?}",
+                pe.omega,
+                pe.phase.to_degrees(),
+                pb.phase.to_degrees()
+            );
+        }
+        Ok(())
+    });
 }
 
 #[test]

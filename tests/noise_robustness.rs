@@ -53,7 +53,10 @@ fn monitor_survives_reference_jitter() {
     };
     let monitor = TransferFunctionMonitor::new(settings);
 
-    let plan = CampaignPlan::new(cfg.clone()).scheduler(Scheduler::Serial);
+    // Clean and noisy runs share the engine, so only the jitter differs.
+    let plan = CampaignPlan::new(cfg.clone())
+        .engine::<CpPll>()
+        .scheduler(Scheduler::Serial);
     let clean = monitor.measure(&plan).expect_healthy();
     let mut noisy_pll = CpPll::new_locked(&cfg);
     noisy_pll.set_noise(Some(NoiseConfig::symmetric(1e-6, 42)));

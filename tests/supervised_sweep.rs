@@ -6,8 +6,9 @@
 //! `run_plan` executor.
 
 use pllbist::monitor::{MonitorSettings, TransferFunctionMonitor};
+use pllbist_sim::behavioral::CpPll;
 use pllbist_sim::bench_measure::{run_sweep, BenchSettings};
-use pllbist_sim::config::PllConfig;
+use pllbist_sim::config::{FilterConfig, PllConfig};
 use pllbist_sim::{
     run_plan, CampaignPlan, ClosedFormPll, NullCodec, PllEngine, Scheduler, SupervisorPolicy,
     SweepPointError,
@@ -162,7 +163,10 @@ fn nan_device_is_fully_quarantined_without_aborting() {
         measure_periods: 2.0,
         ..BenchSettings::default()
     };
+    // Curvature is outside the event engine's class: this is CpPll's
+    // guarded state diverging.
     let plan = CampaignPlan::new(cfg)
+        .engine::<CpPll>()
         .scheduler(Scheduler::WorkStealing { threads: 2 })
         .supervised(SupervisorPolicy::default());
     let run = quietly(|| run_sweep(&plan, &tones, &settings).expect("quarantine, not abort"));
@@ -186,6 +190,40 @@ fn nan_device_is_fully_quarantined_without_aborting() {
 }
 
 #[test]
+fn out_of_class_device_quarantines_as_unsupported_config() {
+    // A ripple capacitor is outside the default event engine's class:
+    // every point is refused with the typed error — once, since the
+    // refusal is deterministic — not recorded as a worker panic.
+    let mut cfg = PllConfig::integer_n_charge_pump();
+    if let FilterConfig::SeriesRc { ref mut c2, .. } = cfg.filter {
+        *c2 = Some(1e-9);
+    }
+    let tones = [2.0, 8.0, 20.0];
+    let refusal = SweepPointError::UnsupportedConfig {
+        backend: "event_driven",
+        feature: "ripple_capacitor",
+    };
+    for threads in [1, 2] {
+        let plan = CampaignPlan::new(cfg.clone())
+            .lock_settle(0.1)
+            .supervised(SupervisorPolicy::default())
+            .scheduler(sched(threads));
+        let swept = quietly(|| {
+            run_plan(
+                &plan,
+                &tones,
+                NullCodec::<f64>::new(),
+                "unsupported",
+                |pll, _fm, _| Ok(pll.control_voltage()),
+            )
+            .expect("no campaign log in play")
+        });
+        assert!(swept.points.iter().all(|p| p == &Err(refusal.clone())));
+        assert_eq!(swept.incidents.len(), tones.len(), "threads {threads}");
+    }
+}
+
+#[test]
 fn supervised_sweep_always_completes_with_random_fault_placement() {
     let cfg = PllConfig::paper_table3();
     let tones = [1.0, 3.0, 9.0, 27.0];
@@ -200,6 +238,7 @@ fn supervised_sweep_always_completes_with_random_fault_placement() {
                 let threads = g.pick(&[1usize, 2, 4]);
                 let policy = SupervisorPolicy::default();
                 let plan = CampaignPlan::new(nan_cfg)
+                    .engine::<CpPll>()
                     .lock_settle(0.1)
                     .supervised(policy.clone())
                     .scheduler(sched(threads));
