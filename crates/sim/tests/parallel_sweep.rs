@@ -5,7 +5,7 @@
 
 use pllbist_sim::bench_measure::{log_spaced, measure_sweep_points, run_sweep, BenchSettings};
 use pllbist_sim::config::PllConfig;
-use pllbist_sim::{CampaignPlan, Scheduler};
+use pllbist_sim::{CampaignPlan, CpPll, Scheduler};
 use pllbist_telemetry::TelemetryConfig;
 
 fn quick_settings() -> BenchSettings {
@@ -17,13 +17,18 @@ fn quick_settings() -> BenchSettings {
     }
 }
 
-fn plan_at(cfg: &PllConfig, threads: usize) -> CampaignPlan {
+/// A `CpPll` plan: the event-driven default is covered by
+/// `event_driven_campaign.rs`; this file keeps the stepped engine's
+/// thread-count guarantees under test.
+fn plan_at(cfg: &PllConfig, threads: usize) -> CampaignPlan<CpPll> {
     let scheduler = if threads == 1 {
         Scheduler::Serial
     } else {
         Scheduler::WorkStealing { threads }
     };
-    CampaignPlan::new(cfg.clone()).scheduler(scheduler)
+    CampaignPlan::new(cfg.clone())
+        .engine::<CpPll>()
+        .scheduler(scheduler)
 }
 
 #[test]

@@ -9,7 +9,7 @@ use pllbist_sim::campaign::{bits_hex, f64_from_bits_hex, json_str_field, Campaig
 use pllbist_sim::config::PllConfig;
 use pllbist_sim::scenario::Scenario;
 use pllbist_sim::{
-    CampaignPlan, ClosedFormPll, PllEngine, Scheduler, SupervisorPolicy, SweepPointError,
+    CampaignPlan, ClosedFormPll, CpPll, PllEngine, Scheduler, SupervisorPolicy, SweepPointError,
 };
 use pllbist_telemetry::{Collector, Fields, TelemetryConfig, Value};
 use std::path::PathBuf;
@@ -23,13 +23,17 @@ fn quick_settings() -> BenchSettings {
     }
 }
 
-fn quick_plan(cfg: &PllConfig, threads: usize) -> CampaignPlan {
+/// A `CpPll` plan: the event-driven default is covered by
+/// `event_driven_campaign.rs`; this file keeps the stepped engine's
+/// thread-count and resume guarantees under test.
+fn quick_plan(cfg: &PllConfig, threads: usize) -> CampaignPlan<CpPll> {
     let scheduler = if threads == 1 {
         Scheduler::Serial
     } else {
         Scheduler::WorkStealing { threads }
     };
     CampaignPlan::new(cfg.clone())
+        .engine::<CpPll>()
         .scheduler(scheduler)
         .supervised(SupervisorPolicy::default())
         .telemetry(TelemetryConfig::enabled())
